@@ -2,7 +2,7 @@ PYTHON ?= python
 WORKERS ?= 2
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick paper-benches
+.PHONY: test bench bench-quick bench-parallel bench-parallel-quick chaos-quick fuzz-quick obs-quick verify-quick farmbench-check paper-benches
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -57,6 +57,16 @@ obs-quick:
 # journal and flow tables (docs/VERIFICATION.md).
 verify-quick:
 	$(PYTHON) -m repro.verify quick
+
+# Whole-farm output gate: one untimed run of each farmbench workload
+# at its default seed.  farmbench exits non-zero when the output digest
+# differs from the one pinned in farmbench/run.py; those digests hash
+# the upstream trace bytes, so a packet rewritten after capture fails
+# here (farmbench/README.md).
+farmbench-check:
+	for workload in stream gateway_load botfarm; do \
+		$(PYTHON) farmbench/run.py --workload $$workload --seconds 0 || exit 1; \
+	done
 
 paper-benches:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -824,8 +824,9 @@ class SubfarmRouter:
         # Return traffic for service-originated outbound?
         internal = self._service_nat_rev.get(packet.dst)
         if internal is not None:
-            packet.dst = internal
-            self._emit_to_service(internal, packet)
+            self._emit_to_service(internal, IPv4Packet.wrap(
+                packet.src, internal, packet.payload, packet.proto,
+                packet.ttl, packet.ident))
             return
         # Unsolicited inbound toward an inmate's global address.
         vlan = self.nat.vlan_for_global(packet.dst)
@@ -1019,7 +1020,7 @@ class SubfarmRouter:
                 return  # degraded: resolved by the pending policy
             self._send_to_cs_tcp(record, packet.tcp)
         else:
-            record.udp_pending.append(packet.udp.copy())
+            record.udp_pending.append(packet.udp)
             if resilience is not None and resilience.handle_new_flow(record):
                 return  # degraded: resolved by the pending policy
             self._send_to_cs_udp(record, packet.udp)
@@ -1028,11 +1029,10 @@ class SubfarmRouter:
 
     # ---- TCP toward the containment server ---------------------------
     def _send_to_cs_tcp(self, record: FlowRecord, segment: TCPSegment) -> None:
-        out = segment.copy()
-        out.sport = record.mux_port
-        out.dport = self.cs_tcp_port
-        out.seq = seq_add(out.seq, record.c2s_inj)
-        out.ack = seq_add(out.ack, record.s2c_rem) if out.has_ack else 0
+        out = segment.rebind(
+            record.mux_port, self.cs_tcp_port,
+            seq_add(segment.seq, record.c2s_inj),
+            seq_add(segment.ack, record.s2c_rem) if segment.has_ack else 0)
         packet = IPv4Packet(record.orig.orig_ip, record.cs_ip, out)
         self.counters["packets_relayed"] += 1
         self._m_packets.inc()
@@ -1440,7 +1440,7 @@ class SubfarmRouter:
         record.c2s_packets += 1
         record.c2s_bytes += len(datagram.payload)
         if record.phase == FlowPhase.SHIM:
-            record.udp_pending.append(datagram.copy())
+            record.udp_pending.append(datagram)
             return
         if record.phase != FlowPhase.ENFORCED or record.decision is None:
             return
@@ -1768,17 +1768,16 @@ class SubfarmRouter:
                            segment: TCPSegment) -> None:
         """Send a server-leg segment back to the originator, restoring
         the illusion of the original destination."""
-        out = segment.copy()
-        out.sport = record.orig.resp_port
-        out.dport = record.orig.orig_port
         if record.cs_isn is not None and record.dst_isn is not None:
             # Post-handoff: translate the destination ISN space into the
             # containment server's (which the client handshook against).
-            out.seq = seq_add(out.seq, record.isn_delta)
+            seq = seq_add(segment.seq, record.isn_delta)
         else:
-            out.seq = seq_sub(out.seq, record.s2c_rem)
-        if out.has_ack:
-            out.ack = seq_sub(out.ack, record.c2s_inj)
+            seq = seq_sub(segment.seq, record.s2c_rem)
+        ack = (seq_sub(segment.ack, record.c2s_inj) if segment.has_ack
+               else segment.ack)
+        out = segment.rebind(record.orig.resp_port, record.orig.orig_port,
+                             seq, ack)
         packet = IPv4Packet(record.orig.resp_ip, record.orig.orig_ip, out)
         self.counters["packets_relayed"] += 1
         self._m_packets.inc()
@@ -1806,34 +1805,30 @@ class SubfarmRouter:
             self._emit_shaped(record, packet,
                               lambda p: self._emit_to_vlan(record.vlan, p))
         else:
-            # Inbound flow: the originator lives outside; restore the
-            # inmate's global source address.
-            packet.src = record.orig.resp_ip
+            # Inbound flow: the originator lives outside.  Every caller
+            # already sources the packet from orig.resp_ip, the inmate's
+            # global address.
             self._emit_shaped(record, packet, self._emit_upstream)
 
     def _send_to_dst(self, record: FlowRecord, segment: TCPSegment,
                      raw: bool = False) -> None:
-        out = segment if raw else segment.copy()
         if not raw:
             # Live relay from the client: translate the ack (client acks
             # in containment-server ISN space, destination expects its
             # own).
-            if out.has_ack and record.dst_isn is not None:
-                out.ack = seq_sub(out.ack, record.isn_delta)
-            out.dport = record.dst_port
-            out.sport = record.orig.orig_port
-            if out.payload:
-                record.c2s_bytes += 0  # already counted at client relay
-        packet = self._address_dst_packet(record, out)
+            ack = segment.ack
+            if segment.has_ack and record.dst_isn is not None:
+                ack = seq_sub(ack, record.isn_delta)
+            segment = segment.rebind(record.orig.orig_port, record.dst_port,
+                                     segment.seq, ack)
+        packet = self._address_dst_packet(record, segment)
         self.counters["packets_relayed"] += 1
         self._m_packets.inc()
         self._emit_dst(record, packet)
 
     def _send_udp_to_dst(self, record: FlowRecord,
                          datagram: UDPDatagram) -> None:
-        out = datagram.copy()
-        out.dport = record.dst_port
-        out.sport = record.orig.orig_port
+        out = datagram.rebind(record.orig.orig_port, record.dst_port)
         packet = self._address_dst_packet(record, out)
         self.counters["packets_relayed"] += 1
         self._m_packets.inc()
@@ -1902,8 +1897,8 @@ class SubfarmRouter:
             stale = self._fastpath.pop(self._fp_key(alias), None)
             if stale is not None:
                 self.flowtable.evictions += 1
-        out = segment.copy()
-        out.sport = record.orig.orig_port
+        out = segment.rebind(record.orig.orig_port, segment.dport,
+                             segment.seq, segment.ack)
         src = record.nat_global or record.orig.orig_ip
         self.counters["packets_relayed"] += 1
         self._m_packets.inc()
@@ -1920,8 +1915,9 @@ class SubfarmRouter:
 
     def _relay_nonce_return(self, record: FlowRecord,
                             packet: IPv4Packet) -> None:
-        out = packet.tcp.copy()
-        out.dport = record.nonce_port
+        segment = packet.tcp
+        out = segment.rebind(segment.sport, record.nonce_port,
+                             segment.seq, segment.ack)
         self.counters["packets_relayed"] += 1
         self._m_packets.inc()
         self._emit_to_cs(record.cs_ip,
@@ -2051,8 +2047,9 @@ class SubfarmRouter:
             global_ip = self.control_pool.allocate()
             self._service_nat[packet.src] = global_ip
             self._service_nat_rev[global_ip] = packet.src
-        packet.src = global_ip
-        self._emit_upstream(packet)
+        self._emit_upstream(IPv4Packet.wrap(
+            global_ip, packet.dst, packet.payload, packet.proto,
+            packet.ttl, packet.ident))
 
     # ------------------------------------------------------------------
     # Inmate life-cycle hooks

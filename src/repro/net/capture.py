@@ -77,8 +77,10 @@ class PacketTrace:
 
     def capture(self, timestamp: float, frame: EthernetFrame,
                 point: str = "") -> None:
-        """Record a deep copy of the frame (it may be mutated later)."""
-        record = TraceRecord(timestamp, frame.copy(), point)
+        """Record the frame itself.  Packets are immutable (see
+        repro.net.packet), so the reference is the evidence: later
+        rewrites build new headers and never reach a captured frame."""
+        record = TraceRecord(timestamp, frame, point)
         for observer in self._observers:
             observer(record)
         self.records.append(record)

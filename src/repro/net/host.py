@@ -107,7 +107,7 @@ class Host:
         self.ip = IPv4Address(ip) if ip is not None else None
         self.prefix_len = prefix_len
         self.gateway_ip = IPv4Address(gateway_ip) if gateway_ip is not None else None
-        self.mac = mac if mac is not None else self._derive_mac(name)
+        self.mac = MacAddress(mac) if mac is not None else self._derive_mac(name)
         self.rng = sim.rng(f"host/{name}")
 
         self.port = Port(self, name=f"{name}.eth0")
@@ -195,8 +195,7 @@ class Host:
             self._send_arp_request(next_hop)
 
     def _transmit(self, packet: IPv4Packet, dst_mac: MacAddress) -> None:
-        frame = EthernetFrame(self.mac, dst_mac, packet, ethertype=ETHERTYPE_IPV4)
-        self.port.send(frame)
+        self.port.send(EthernetFrame.wrap(self.mac, dst_mac, packet))
 
     def _send_arp_request(self, target_ip: IPv4Address) -> None:
         sender_ip = self.ip if self.ip is not None else IPv4Address(0)

@@ -226,13 +226,13 @@ class Switch:
                 self._emit(frame, candidate, vlan)
 
     def _emit(self, frame: EthernetFrame, port: Port, vlan: int) -> None:
-        config = self.configs[port]
-        out = frame.copy()
-        if config.mode is PortMode.ACCESS:
-            out.retag(None)
-        else:
-            out.retag(vlan)
-        port.send(out)
+        # Frames are immutable: one already carrying the egress tag is
+        # sent as is; otherwise a new header wraps the same packet.
+        tag = None if self.configs[port].mode is PortMode.ACCESS else vlan
+        if frame.vlan != tag:
+            frame = EthernetFrame.wrap(frame.src, frame.dst, frame.payload,
+                                       tag, frame.ethertype)
+        port.send(frame)
 
     def mac_table_snapshot(self) -> Dict[Tuple[int, MacAddress], Port]:
         return dict(self._mac_table)

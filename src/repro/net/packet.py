@@ -1,14 +1,23 @@
 """Packet formats: Ethernet (with 802.1Q), IPv4, TCP, UDP.
 
-Packets are plain mutable objects that the simulator passes by
-reference; every layer also serializes to and from real wire bytes
-(including IPv4 header checksums and TCP/UDP pseudo-header checksums)
-so that wire formats — in particular the shim protocol the gateway
-injects into TCP streams — are bit-accurate and testable.
+Packets are immutable values that the simulator passes by reference;
+every layer also serializes to and from real wire bytes (including
+IPv4 header checksums and TCP/UDP pseudo-header checksums) so that
+wire formats — in particular the shim protocol the gateway injects
+into TCP streams — are bit-accurate and testable.
 
-The gateway mutates packets in flight (NAT rewriting, VLAN retagging,
-sequence-number bumping), so :meth:`copy` is provided on each layer and
-frames are deep-copied at capture points to keep traces immutable.
+Immutability contract: no field of a packet object is written after
+construction.  The gateway's NAT rewriting, VLAN retagging and
+sequence-number bumping build new headers around the unchanged inner
+layers instead (:meth:`TCPSegment.rebind`, :meth:`UDPDatagram.rebind`,
+:meth:`IPv4Packet.wrap`, :meth:`EthernetFrame.wrap`).  Two things rest
+on the contract: trace records hold the captured frame itself rather
+than a copy (repro.net.capture), and the cached transport wire image
+never needs invalidating.  The contract is plain slots, not an
+enforcing ``__setattr__`` (which would cost every construction); it is
+checked end to end by ``tests/test_evidence_integrity.py``, which
+replays farms that reach every rewrite site and asserts each captured
+record still carries its capture-time fields and wire bytes.
 """
 
 from __future__ import annotations
@@ -118,9 +127,10 @@ def _validate_tcp_options(options: bytes) -> None:
 class TCPSegment:
     """A TCP segment with a byte-accurate sequence space.
 
-    Serialization is cached per (src, dst) pseudo-header: the gateway
-    mutates segments in flight, so any field write invalidates the
-    cached wire image (see :meth:`__setattr__`).
+    Serialization is cached per (src, dst) pseudo-header.  Segments are
+    immutable (see the module docstring), so the cached wire image is
+    valid for the segment's whole life; relays derive translated
+    segments with :meth:`rebind`, which starts with an empty cache.
     """
 
     __slots__ = ("sport", "dport", "seq", "ack", "flags", "window", "payload",
@@ -143,11 +153,8 @@ class TCPSegment:
         self.flags = flags
         self.window = window
         self.payload = payload
-        object.__setattr__(self, "_wire_key", None)
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        object.__setattr__(self, "_wire", None)
+        self._wire = None
+        self._wire_key = None
 
     # Flag helpers -----------------------------------------------------
     @property
@@ -185,39 +192,20 @@ class TCPSegment:
             names.append("PSH")
         return "|".join(names) or "-"
 
-    def copy(self) -> "TCPSegment":
-        # Slot-level clone bypassing __init__ and the mutation hook —
-        # the hot relay path copies every packet it forwards.  The
-        # cached wire image stays valid for a field-identical copy and
-        # is invalidated by the hook on the first mutation.
-        clone = object.__new__(TCPSegment)
-        setter = object.__setattr__
-        setter(clone, "sport", self.sport)
-        setter(clone, "dport", self.dport)
-        setter(clone, "seq", self.seq)
-        setter(clone, "ack", self.ack)
-        setter(clone, "flags", self.flags)
-        setter(clone, "window", self.window)
-        setter(clone, "payload", self.payload)
-        setter(clone, "_wire", self._wire)
-        setter(clone, "_wire_key", self._wire_key)
-        return clone
-
     def rebind(self, sport: int, dport: int, seq: int, ack: int) -> "TCPSegment":
         """New segment carrying this one's flags/window/payload under
         translated addressing and sequence fields — the relay's inner
-        operation, built in one pass with no mutation-hook churn."""
+        operation, built slot by slot without re-masking."""
         clone = object.__new__(TCPSegment)
-        setter = object.__setattr__
-        setter(clone, "sport", sport)
-        setter(clone, "dport", dport)
-        setter(clone, "seq", seq)
-        setter(clone, "ack", ack)
-        setter(clone, "flags", self.flags)
-        setter(clone, "window", self.window)
-        setter(clone, "payload", self.payload)
-        setter(clone, "_wire", None)
-        setter(clone, "_wire_key", None)
+        clone.sport = sport
+        clone.dport = dport
+        clone.seq = seq
+        clone.ack = ack
+        clone.flags = self.flags
+        clone.window = self.window
+        clone.payload = self.payload
+        clone._wire = None
+        clone._wire_key = None
         return clone
 
     def to_bytes(self, src: IPv4Address, dst: IPv4Address) -> bytes:
@@ -237,10 +225,8 @@ class TCPSegment:
         checksum = internet_checksum(pseudo + header + self.payload)
         header = header[:16] + struct.pack("!H", checksum) + header[18:]
         wire = header + self.payload
-        # Cached via object.__setattr__ so the write doesn't invalidate
-        # itself through the mutation hook.
-        object.__setattr__(self, "_wire_key", key)
-        object.__setattr__(self, "_wire", wire)
+        self._wire_key = key
+        self._wire = wire
         return wire
 
     @classmethod
@@ -273,8 +259,8 @@ class TCPSegment:
 class UDPDatagram:
     """A UDP datagram.
 
-    Like :class:`TCPSegment`, the serialized wire image is cached per
-    (src, dst) pseudo-header and invalidated on any field write.
+    Like :class:`TCPSegment`, immutable, with the serialized wire image
+    cached per (src, dst) pseudo-header.
     """
 
     __slots__ = ("sport", "dport", "payload", "_wire", "_wire_key")
@@ -283,31 +269,17 @@ class UDPDatagram:
         self.sport = sport
         self.dport = dport
         self.payload = payload
-        object.__setattr__(self, "_wire_key", None)
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        object.__setattr__(self, "_wire", None)
-
-    def copy(self) -> "UDPDatagram":
-        clone = object.__new__(UDPDatagram)
-        setter = object.__setattr__
-        setter(clone, "sport", self.sport)
-        setter(clone, "dport", self.dport)
-        setter(clone, "payload", self.payload)
-        setter(clone, "_wire", self._wire)
-        setter(clone, "_wire_key", self._wire_key)
-        return clone
+        self._wire = None
+        self._wire_key = None
 
     def rebind(self, sport: int, dport: int) -> "UDPDatagram":
         """New datagram with this payload under translated ports."""
         clone = object.__new__(UDPDatagram)
-        setter = object.__setattr__
-        setter(clone, "sport", sport)
-        setter(clone, "dport", dport)
-        setter(clone, "payload", self.payload)
-        setter(clone, "_wire", None)
-        setter(clone, "_wire_key", None)
+        clone.sport = sport
+        clone.dport = dport
+        clone.payload = self.payload
+        clone._wire = None
+        clone._wire_key = None
         return clone
 
     def to_bytes(self, src: IPv4Address, dst: IPv4Address) -> bytes:
@@ -324,8 +296,8 @@ class UDPDatagram:
             checksum = 0xFFFF
         header = header[:6] + struct.pack("!H", checksum)
         wire = header + self.payload
-        object.__setattr__(self, "_wire_key", key)
-        object.__setattr__(self, "_wire", wire)
+        self._wire_key = key
+        self._wire = wire
         return wire
 
     @classmethod
@@ -410,15 +382,17 @@ class IPv4Packet:
 
     @classmethod
     def wrap(cls, src: IPv4Address, dst: IPv4Address,
-             payload: TransportPayload, proto: int) -> "IPv4Packet":
+             payload: TransportPayload, proto: int, ttl: int = 64,
+             ident: int = 0) -> "IPv4Packet":
         """Fast construction from already-canonical addresses and an
-        explicit protocol — skips __init__'s re-validation."""
+        explicit protocol — skips __init__'s re-validation.  Also how a
+        header is rewritten: a new packet around the same payload."""
         packet = object.__new__(cls)
         packet.src = src
         packet.dst = dst
         packet.proto = proto
-        packet.ttl = 64
-        packet.ident = 0
+        packet.ttl = ttl
+        packet.ident = ident
         packet.payload = payload
         return packet
 
@@ -435,19 +409,11 @@ class IPv4Packet:
         return self.payload
 
     def copy(self) -> "IPv4Packet":
-        payload = self.payload
-        if isinstance(payload, (TCPSegment, UDPDatagram)):
-            payload = payload.copy()
-        # Direct slot clone: skips __init__'s address re-validation and
-        # proto sniffing (both already canonical on an existing packet).
-        clone = object.__new__(IPv4Packet)
-        clone.src = self.src
-        clone.dst = self.dst
-        clone.proto = self.proto
-        clone.ttl = self.ttl
-        clone.ident = self.ident
-        clone.payload = payload
-        return clone
+        """A new header around the same (immutable) payload.  Nothing on
+        the packet path calls this; farmbench's per-layer ledger still
+        counts calls to it and to :meth:`EthernetFrame.copy`."""
+        return IPv4Packet.wrap(self.src, self.dst, self.payload, self.proto,
+                               self.ttl, self.ident)
 
     def to_bytes(self) -> bytes:
         if isinstance(self.payload, (TCPSegment, UDPDatagram)):
@@ -533,24 +499,25 @@ class EthernetFrame:
             raise TypeError("payload is not IPv4")
         return self.payload
 
-    def copy(self) -> "EthernetFrame":
-        payload = self.payload
-        if isinstance(payload, IPv4Packet):
-            payload = payload.copy()
-        clone = object.__new__(EthernetFrame)
-        clone.src = self.src
-        clone.dst = self.dst
-        clone.vlan = self.vlan
-        clone.ethertype = self.ethertype
-        clone.payload = payload
-        return clone
+    @classmethod
+    def wrap(cls, src: MacAddress, dst: MacAddress,
+             payload: Union[IPv4Packet, bytes], vlan: Optional[int] = None,
+             ethertype: int = ETHERTYPE_IPV4) -> "EthernetFrame":
+        """Fast construction from canonical addresses and an in-range
+        tag — skips __init__'s re-validation.  Also how a frame is
+        retagged: a new header around the same payload."""
+        frame = object.__new__(cls)
+        frame.src = src
+        frame.dst = dst
+        frame.vlan = vlan
+        frame.ethertype = ethertype
+        frame.payload = payload
+        return frame
 
-    def retag(self, vlan: Optional[int]) -> "EthernetFrame":
-        """Return self with the VLAN tag replaced (mutates in place)."""
-        if vlan is not None and not 1 <= vlan <= 4094:
-            raise ValueError(f"VLAN ID out of 802.1Q range: {vlan}")
-        self.vlan = vlan
-        return self
+    def copy(self) -> "EthernetFrame":
+        """A new header around the same (immutable) payload."""
+        return EthernetFrame.wrap(self.src, self.dst, self.payload,
+                                  self.vlan, self.ethertype)
 
     def to_bytes(self) -> bytes:
         if isinstance(self.payload, IPv4Packet):

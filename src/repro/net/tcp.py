@@ -21,7 +21,8 @@ import enum
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.net.addresses import IPv4Address
-from repro.net.packet import ACK, FIN, IPv4Packet, PSH, RST, SYN, TCPSegment
+from repro.net.packet import (ACK, FIN, IPv4Packet, PROTO_TCP, PSH, RST, SYN,
+                              TCPSegment)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.host import Host
@@ -363,8 +364,8 @@ class TcpConnection:
             flags=flags,
             payload=payload,
         )
-        packet = IPv4Packet(self.local_ip, self.remote_ip, segment)
-        self.host.send_ip(packet)
+        self.host.send_ip(IPv4Packet.wrap(self.local_ip, self.remote_ip,
+                                          segment, PROTO_TCP))
 
     # ------------------------------------------------------------------
     # Teardown

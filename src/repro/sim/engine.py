@@ -1,11 +1,12 @@
 """The discrete-event simulation engine.
 
 A :class:`Simulator` owns a virtual clock and a priority queue of
-:class:`Event` records.  Components schedule callbacks at absolute or
-relative virtual times; :meth:`Simulator.run` drains the queue in
-timestamp order.  Ties are broken by a monotonically increasing sequence
-number so that two events scheduled for the same instant fire in the
-order they were scheduled — this keeps runs deterministic.
+``(time, seq, event)`` entries, one per :class:`Event`.  Components
+schedule callbacks at absolute or relative virtual times;
+:meth:`Simulator.run` drains the queue in timestamp order.  Ties are
+broken by a monotonically increasing sequence number so that two events
+scheduled for the same instant fire in the order they were scheduled —
+this keeps runs deterministic.
 
 The engine knows nothing about networks or malware; it is the substrate
 every other subsystem builds on.
@@ -17,7 +18,7 @@ import heapq
 import itertools
 import random
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.metrics import NULL_INSTRUMENT
@@ -27,10 +28,13 @@ from repro.obs.telemetry import NULL_TELEMETRY
 class Event:
     """A scheduled callback.
 
-    Events are created through :meth:`Simulator.schedule` and compared by
-    ``(time, seq)`` so the heap pops them deterministically.  Cancelling
-    an event marks it dead; the heap lazily discards dead entries, and
-    the owning simulator compacts the heap when dead entries dominate.
+    Events are created through :meth:`Simulator.schedule`, which queues
+    each as a ``(time, seq, event)`` heap entry.  ``seq`` is unique, so
+    the heap pops deterministically and every comparison is settled by
+    the leading float and int in C, never reaching the event itself.
+    Cancelling an event marks it dead; the heap lazily discards dead
+    entries, and the owning simulator compacts the heap when dead
+    entries dominate.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "label",
@@ -64,9 +68,6 @@ class Event:
         sim = self._sim
         if sim is not None:
             sim._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     @property
     def effective_label(self) -> str:
@@ -103,7 +104,7 @@ class Simulator:
     COMPACT_MIN_QUEUE = 64
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -196,9 +197,10 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        event = Event(self._now + delay, next(self._seq), callback, args,
-                      label, self)
-        heapq.heappush(self._queue, event)
+        time = self._now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, callback, args, label, self)
+        heapq.heappush(self._queue, (time, seq, event))
         self._m_scheduled.inc()
         return event
 
@@ -214,8 +216,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time} < now={self._now}"
             )
-        event = Event(time, next(self._seq), callback, args, label, self)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(time, seq, callback, args, label, self)
+        heapq.heappush(self._queue, (time, seq, event))
         self._m_scheduled.inc()
         return event
 
@@ -240,7 +243,7 @@ class Simulator:
         removed = self._dead
         if removed == 0:
             return
-        self._queue[:] = [e for e in self._queue if not e.cancelled]
+        self._queue[:] = [e for e in self._queue if not e[2].cancelled]
         heapq.heapify(self._queue)
         self._dead = 0
         self._m_cancelled.inc(removed)
@@ -270,7 +273,7 @@ class Simulator:
         stride = self.QUEUE_DEPTH_STRIDE
         try:
             while queue:
-                event = queue[0]
+                event = queue[0][2]
                 if event.cancelled:
                     heappop(queue)
                     self._dead -= 1
@@ -326,7 +329,7 @@ class Simulator:
         heappop = heapq.heappop
         now = self._now
         while queue:
-            head = queue[0]
+            head = queue[0][2]
             if head.cancelled:
                 heappop(queue)
                 self._dead -= 1

@@ -56,12 +56,14 @@ class TestSelection:
         assert len(trace.select(proto=PROTO_TCP)) == 3
         assert len(trace.select(dport=25)) == 1
 
-    def test_capture_is_deep_copy(self):
+    def test_capture_holds_the_frame_itself(self):
+        # Packets are immutable, so the record keeps the frame rather
+        # than a copy; tests/test_evidence_integrity.py checks that no
+        # rewrite site ever changes a captured frame afterwards.
         trace = PacketTrace()
         original = frame(TCPSegment(1, 2, seq=5, flags=SYN))
         trace.capture(0.0, original, point="x")
-        original.ip.tcp.seq = 999  # mutate after capture
-        assert trace.records[0].ip.tcp.seq == 5
+        assert trace.records[0].frame is original
 
     def test_flows_first_seen_orientation(self):
         trace = PacketTrace()
@@ -88,7 +90,8 @@ class TestPayloadReassembly:
         key = FiveTuple(IP_A, 1000, IP_B, 80, PROTO_TCP)
         segment = TCPSegment(1000, 80, seq=100, flags=ACK, payload=b"dup")
         trace.capture(1.0, frame(segment))
-        trace.capture(2.0, frame(segment.copy()))
+        trace.capture(2.0, frame(TCPSegment(1000, 80, seq=100, flags=ACK,
+                                            payload=b"dup")))
         assert trace.tcp_payload(key, "orig") == b"dup"
 
     def test_directions_separate(self):

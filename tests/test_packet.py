@@ -114,16 +114,17 @@ class TestIPv4Packet:
         parsed = IPv4Packet.from_bytes(packet.to_bytes())
         assert parsed.udp.payload == b"x" * 100
 
-    def test_copy_is_deep(self):
+    def test_copy_is_a_new_header_around_the_same_payload(self):
         packet = IPv4Packet(
             IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
-            TCPSegment(1, 2, payload=b"data"),
+            TCPSegment(1, 2, payload=b"data"), ttl=9, ident=77,
         )
         clone = packet.copy()
-        clone.tcp.seq = 999
-        clone.src = IPv4Address("1.1.1.1")
-        assert packet.tcp.seq == 0
-        assert str(packet.src) == "10.0.0.1"
+        assert clone is not packet
+        assert clone.payload is packet.payload  # immutable: shared
+        assert (clone.src, clone.dst, clone.proto, clone.ttl, clone.ident) \
+            == (packet.src, packet.dst, packet.proto, 9, 77)
+        assert clone.to_bytes() == packet.to_bytes()
 
 
 class TestEthernetFrame:

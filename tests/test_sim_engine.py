@@ -169,7 +169,7 @@ class TestQueueKernel:
         total = len(keep) + len(doomed)
         assert len(sim._queue) < total // 2
         assert sim.pending == len(keep)
-        live = [e for e in sim._queue if not e.cancelled]
+        live = [e for _time, _seq, e in sim._queue if not e.cancelled]
         assert len(live) == len(keep)
 
     def test_compaction_preserves_firing_order(self):
