@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.gateway.router import SubfarmRouter
-from repro.net.addresses import IPv4Address, IPv4Network, MacAddress
+from repro.net.addresses import (BROADCAST_MAC, IPv4Address, IPv4Network,
+                                  MacAddress)
 from repro.net.arp import ETHERTYPE_ARP, OP_REQUEST, ArpMessage
 from repro.net.capture import PacketTrace
 from repro.net.link import Link, Port, PortMode, Switch
@@ -93,6 +94,10 @@ class Gateway:
     def add_router(self, router: SubfarmRouter) -> None:
         self.routers.append(router)
         for vlan in router.vlan_ids:
+            # Owned tags are range-checked once, here or by the farm's
+            # VlanPool, so send_to_vlan can wrap without re-checking.
+            if not 1 <= vlan <= 4094:
+                raise ValueError(f"VLAN ID out of 802.1Q range: {vlan}")
             if vlan in self._router_by_vlan:
                 raise ValueError(f"VLAN {vlan} already owned by a subfarm")
             self._router_by_vlan[vlan] = router
@@ -105,16 +110,17 @@ class Gateway:
     # ------------------------------------------------------------------
     def send_to_vlan(self, vlan: int, packet: IPv4Packet) -> None:
         router = self._router_by_vlan.get(vlan)
-        dst_mac = MacAddress.broadcast()
-        if router is not None:
-            learned = router.bridge.mac_for(vlan)
-            if learned is not None:
-                dst_mac = learned
-            else:
+        if router is None:
+            # An unowned tag has not been range-checked yet.
+            frame = EthernetFrame(self.mac, BROADCAST_MAC, packet,
+                                  vlan=vlan, ethertype=ETHERTYPE_IPV4)
+        else:
+            dst_mac = router.bridge.mac_for(vlan)
+            if dst_mac is None:
+                dst_mac = BROADCAST_MAC
                 self._m_floods.inc()
-        frame = EthernetFrame(self.mac, dst_mac, packet, vlan=vlan,
-                              ethertype=ETHERTYPE_IPV4)
-        if router is not None:
+            frame = EthernetFrame.wrap(self.mac, dst_mac, packet, vlan,
+                                       ETHERTYPE_IPV4)
             router.trace.capture(self.sim.now, frame, point="inmate")
         self.trunk_port.send(frame)
 
@@ -146,8 +152,8 @@ class Gateway:
             if tunnel.carries(packet.src):
                 packet = tunnel.encapsulate(packet)
                 break
-        frame = EthernetFrame(self.mac, MacAddress.broadcast(), packet,
-                              ethertype=ETHERTYPE_IPV4)
+        frame = EthernetFrame.wrap(self.mac, BROADCAST_MAC, packet, None,
+                                   ETHERTYPE_IPV4)
         self.upstream_trace.capture(self.sim.now, frame, point="upstream-out")
         self.upstream_port.send(frame)
 

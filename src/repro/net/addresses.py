@@ -228,6 +228,11 @@ class MacAddress:
         return f"MacAddress({str(self)!r})"
 
 
+#: The all-ones MAC, built once: per-packet paths use it instead of
+#: paying ``MacAddress.broadcast()`` on every frame.
+BROADCAST_MAC = MacAddress(MacAddress.BROADCAST_VALUE)
+
+
 class MacAllocator:
     """Hands out locally administered, unique MAC addresses."""
 

@@ -6,18 +6,92 @@ sharing) and, separately, everything crossing the upstream interface
 as seen outside GQ.  :class:`PacketTrace` is the in-memory store both
 analysis and reporting read from; :func:`write_pcap` emits genuine
 libpcap files for interoperability.
+
+Evidence is stored as values, not objects.  Each captured frame
+becomes one flat tuple of atomic fields (timestamp, capture point,
+address ints, header fields, payload ``bytes``), which CPython stops
+tracking at its first young collection: a trace of a million frames
+costs its bytes and nothing in any later full collection.  Reading a
+trace rebuilds :class:`TraceRecord` objects one at a time; packet
+serialization is a pure function of those fields, so a rebuilt
+frame's ``to_bytes()`` is byte-identical to the captured one's.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterable, Iterator, List, Optional
+from collections import deque
+from itertools import islice
+from typing import Callable, Iterable, Iterator, List, Optional, Union
 
+from repro.net.addresses import IPv4Address, MacAddress
 from repro.net.flow import FiveTuple
-from repro.net.packet import EthernetFrame, IPv4Packet, PROTO_TCP, PROTO_UDP
+from repro.net.packet import (EthernetFrame, IPv4Packet, PROTO_TCP,
+                              PROTO_UDP, TCPSegment, UDPDatagram)
 
 PCAP_MAGIC = 0xA1B2C3D4
 LINKTYPE_ETHERNET = 1
+
+# Flat record layouts, told apart by length.  Every one starts with
+# (timestamp, point, src MAC, dst MAC, vlan, ethertype); IPv4 frames
+# go on with (src IP, dst IP, proto, ttl, ident), then TCP's (sport,
+# dport, seq, ack, flags, window) or UDP's (sport, dport); the payload
+# bytes always come last.  Any other IPv4 payload makes 12 fields.
+_FLAT_NON_IP = 7
+_FLAT_UDP = 14
+_FLAT_TCP = 18
+
+
+def _snapshot(payload) -> bytes:
+    return payload if type(payload) is bytes else bytes(payload)
+
+
+def _flatten(timestamp: float, frame: EthernetFrame, point: str) -> tuple:
+    """One captured frame as a tuple of atomic values (see the layouts
+    above).  Dispatches on payload type exactly as ``to_bytes`` does."""
+    ip = frame.payload
+    if not isinstance(ip, IPv4Packet):
+        return (timestamp, point, frame.src.value, frame.dst.value,
+                frame.vlan, frame.ethertype, _snapshot(ip))
+    transport = ip.payload
+    if isinstance(transport, TCPSegment):
+        return (timestamp, point, frame.src.value, frame.dst.value,
+                frame.vlan, frame.ethertype,
+                ip.src.value, ip.dst.value, ip.proto, ip.ttl, ip.ident,
+                transport.sport, transport.dport, transport.seq,
+                transport.ack, transport.flags, transport.window,
+                _snapshot(transport.payload))
+    if isinstance(transport, UDPDatagram):
+        return (timestamp, point, frame.src.value, frame.dst.value,
+                frame.vlan, frame.ethertype,
+                ip.src.value, ip.dst.value, ip.proto, ip.ttl, ip.ident,
+                transport.sport, transport.dport,
+                _snapshot(transport.payload))
+    return (timestamp, point, frame.src.value, frame.dst.value,
+            frame.vlan, frame.ethertype,
+            ip.src.value, ip.dst.value, ip.proto, ip.ttl, ip.ident,
+            _snapshot(transport))
+
+
+def _rebuild(flat: tuple) -> "TraceRecord":
+    """The :class:`TraceRecord` a flat tuple was made from: equal
+    fields, byte-identical ``to_bytes()``."""
+    size = len(flat)
+    if size == _FLAT_NON_IP:
+        payload = flat[6]
+    else:
+        if size == _FLAT_TCP:
+            transport = TCPSegment(flat[11], flat[12], flat[13], flat[14],
+                                   flat[15], flat[16], flat[17])
+        elif size == _FLAT_UDP:
+            transport = UDPDatagram(flat[11], flat[12], flat[13])
+        else:
+            transport = flat[11]
+        payload = IPv4Packet.wrap(IPv4Address(flat[6]), IPv4Address(flat[7]),
+                                  transport, flat[8], flat[9], flat[10])
+    frame = EthernetFrame.wrap(MacAddress(flat[2]), MacAddress(flat[3]),
+                               payload, flat[4], flat[5])
+    return TraceRecord(flat[0], frame, flat[1])
 
 
 class TraceRecord:
@@ -49,27 +123,78 @@ class TraceRecord:
         return f"<TraceRecord t={self.timestamp:.6f} {self.point} {self.frame!r}>"
 
 
+class TraceRecords:
+    """Read-only view of a trace's stored records, oldest first.
+
+    ``len()`` is O(1).  Iteration and indexing (negative indices too)
+    rebuild one :class:`TraceRecord` per item as it is reached, so
+    walking a large trace never holds more than one rebuilt record at
+    a time; a slice returns a list.
+    """
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "PacketTrace") -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace._store)
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(_rebuild, self._trace._store)
+
+    def __reversed__(self) -> Iterator[TraceRecord]:
+        return map(_rebuild, reversed(self._trace._store))
+
+    def __getitem__(self, index: Union[int, slice]):
+        store = self._trace._store
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(store))
+            if step > 0:
+                chosen = islice(store, start, stop, step)
+            else:
+                chosen = (store[i] for i in range(start, stop, step))
+            return [_rebuild(flat) for flat in chosen]
+        return _rebuild(store[index])
+
+
 class PacketTrace:
     """A capture buffer with query helpers and live observers.
 
     Two consumption models, mirroring §5.6/§6.5 practice:
 
-    * *Post-hoc*: ``records`` holds captured frames for querying and
-      pcap export.  ``max_records`` bounds the buffer (oldest frames
-      rotate out, counted in ``rotated_out``) so day-scale runs do not
-      hold every packet in memory.
+    * *Post-hoc*: ``records`` is a read-only, lazily rebuilt view of
+      the stored frames for querying and pcap export.  The store is a
+      ring: ``max_records`` bounds it (the oldest frame rotates out in
+      O(1) per capture, counted in ``rotated_out``) so day-scale runs
+      do not hold every packet in memory.  It may be set after
+      construction; shrinking drops, and counts, the oldest frames.
     * *Streaming*: observers registered via :meth:`subscribe` see every
-      record as it is captured — how the Bro-style analyzers process
-      multi-day activity without retaining the packets.
+      record as it is captured, holding the live frame — how the
+      Bro-style analyzers process multi-day activity without retaining
+      the packets.
     """
 
     def __init__(self, name: str = "trace",
                  max_records: Optional[int] = None) -> None:
         self.name = name
-        self.max_records = max_records
-        self.records: List[TraceRecord] = []
+        self._store: deque = deque(maxlen=max_records)
         self.rotated_out = 0
         self._observers: List[Callable[[TraceRecord], None]] = []
+
+    @property
+    def records(self) -> TraceRecords:
+        return TraceRecords(self)
+
+    @property
+    def max_records(self) -> Optional[int]:
+        return self._store.maxlen
+
+    @max_records.setter
+    def max_records(self, value: Optional[int]) -> None:
+        store = deque(self._store, maxlen=value)
+        self.rotated_out += len(self._store) - len(store)
+        self._store = store
 
     def subscribe(self, observer: Callable[[TraceRecord], None]) -> None:
         """Register a live observer; it sees each record at capture."""
@@ -77,20 +202,19 @@ class PacketTrace:
 
     def capture(self, timestamp: float, frame: EthernetFrame,
                 point: str = "") -> None:
-        """Record the frame itself.  Packets are immutable (see
-        repro.net.packet), so the reference is the evidence: later
-        rewrites build new headers and never reach a captured frame."""
-        record = TraceRecord(timestamp, frame, point)
-        for observer in self._observers:
-            observer(record)
-        self.records.append(record)
-        if self.max_records is not None and len(self.records) > self.max_records:
-            overflow = len(self.records) - self.max_records
-            del self.records[:overflow]
-            self.rotated_out += overflow
+        """Record a value snapshot of the frame; observers get a
+        record holding the frame itself."""
+        if self._observers:
+            record = TraceRecord(timestamp, frame, point)
+            for observer in self._observers:
+                observer(record)
+        store = self._store
+        if len(store) == store.maxlen:
+            self.rotated_out += 1
+        store.append(_flatten(timestamp, frame, point))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._store)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
@@ -106,25 +230,23 @@ class PacketTrace:
         proto: Optional[int] = None,
         dport: Optional[int] = None,
     ) -> List[TraceRecord]:
-        """Filter records by capture point, VLAN tag, proto, dst port."""
+        """Filter records by capture point, VLAN tag, proto, dst port.
+
+        The field filters read the stored tuples; only frames that pass
+        them are rebuilt (and offered to ``predicate``)."""
         out = []
-        for record in self.records:
-            if point is not None and record.point != point:
+        for flat in self._store:
+            if point is not None and flat[1] != point:
                 continue
-            if vlan is not None and record.frame.vlan != vlan:
+            if vlan is not None and flat[4] != vlan:
                 continue
-            ip = record.ip
-            if proto is not None and (ip is None or ip.proto != proto):
+            if proto is not None and (len(flat) == _FLAT_NON_IP
+                                      or flat[8] != proto):
                 continue
-            if dport is not None:
-                if ip is None:
-                    continue
-                if ip.proto == PROTO_TCP and ip.tcp.dport != dport:
-                    continue
-                if ip.proto == PROTO_UDP and ip.udp.dport != dport:
-                    continue
-                if ip.proto not in (PROTO_TCP, PROTO_UDP):
-                    continue
+            if dport is not None and (len(flat) not in (_FLAT_TCP, _FLAT_UDP)
+                                      or flat[12] != dport):
+                continue
+            record = _rebuild(flat)
             if predicate is not None and not predicate(record):
                 continue
             out.append(record)

@@ -11,13 +11,17 @@ construction.  The gateway's NAT rewriting, VLAN retagging and
 sequence-number bumping build new headers around the unchanged inner
 layers instead (:meth:`TCPSegment.rebind`, :meth:`UDPDatagram.rebind`,
 :meth:`IPv4Packet.wrap`, :meth:`EthernetFrame.wrap`).  Two things rest
-on the contract: trace records hold the captured frame itself rather
-than a copy (repro.net.capture), and the cached transport wire image
-never needs invalidating.  The contract is plain slots, not an
-enforcing ``__setattr__`` (which would cost every construction); it is
-checked end to end by ``tests/test_evidence_integrity.py``, which
-replays farms that reach every rewrite site and asserts each captured
-record still carries its capture-time fields and wire bytes.
+on the contract: a frame handed to a trace observer at capture time is
+the very frame on the wire, valid for as long as the observer keeps
+it, and the cached transport wire image never needs invalidating.
+Stored evidence does not rest on it: a trace keeps a value snapshot of
+each frame's fields (repro.net.capture), and serialization is a pure
+function of those fields, so a rebuilt frame serializes to the
+captured bytes.  The contract is plain slots, not an enforcing
+``__setattr__`` (which would cost every construction); it is checked
+end to end by ``tests/test_evidence_integrity.py``, which replays
+farms that reach every rewrite site and asserts each frame observers
+saw still carries its capture-time fields and wire bytes.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.addresses import IPv4Address, IPv4Network, MacAddress
+from repro.net.addresses import (BROADCAST_MAC, IPv4Address, IPv4Network,
+                                  MacAddress)
 from repro.net.arp import ETHERTYPE_ARP, OP_REQUEST, ArpMessage
 from repro.net.host import Host
 from repro.net.link import Link, Port
@@ -100,9 +101,10 @@ class Router:
             return
         packet = IPv4Packet.wrap(packet.src, packet.dst, packet.payload,
                                  packet.proto, packet.ttl - 1, packet.ident)
-        dst_mac = self._neighbor_macs.get(out, MacAddress.broadcast())
+        dst_mac = self._neighbor_macs.get(out, BROADCAST_MAC)
         self.packets_forwarded += 1
-        out.send(EthernetFrame(self.mac, dst_mac, packet, ethertype=ETHERTYPE_IPV4))
+        out.send(EthernetFrame.wrap(self.mac, dst_mac, packet, None,
+                                    ETHERTYPE_IPV4))
 
     def _lookup(self, dst: IPv4Address) -> Optional[Port]:
         for network, port in self._routes:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.net.addresses import IPv4Address, MacAddress
@@ -16,6 +18,7 @@ from repro.net.packet import (
     TCPSegment,
     UDPDatagram,
 )
+from tests.test_evidence_integrity import fields
 
 MAC_A = MacAddress("02:00:00:00:00:0a")
 MAC_B = MacAddress("02:00:00:00:00:0b")
@@ -56,14 +59,20 @@ class TestSelection:
         assert len(trace.select(proto=PROTO_TCP)) == 3
         assert len(trace.select(dport=25)) == 1
 
-    def test_capture_holds_the_frame_itself(self):
-        # Packets are immutable, so the record keeps the frame rather
-        # than a copy; tests/test_evidence_integrity.py checks that no
-        # rewrite site ever changes a captured frame afterwards.
+    def test_capture_stores_an_untracked_value_snapshot(self):
+        # The store keeps the frame's atomic fields, not the frame: the
+        # rebuilt record equals it field for field and on the wire, and
+        # the collector stops tracking the stored entry.
         trace = PacketTrace()
-        original = frame(TCPSegment(1, 2, seq=5, flags=SYN))
-        trace.capture(0.0, original, point="x")
-        assert trace.records[0].frame is original
+        original = frame(TCPSegment(1, 2, seq=5, flags=SYN, payload=b"p"),
+                         vlan=5)
+        trace.capture(0.5, original, point="x")
+        record = trace.records[0]
+        assert (record.timestamp, record.point) == (0.5, "x")
+        assert fields(record.frame) == fields(original)
+        assert record.frame.to_bytes() == original.to_bytes()
+        gc.collect()
+        assert not gc.is_tracked(trace._store[0])
 
     def test_flows_first_seen_orientation(self):
         trace = PacketTrace()

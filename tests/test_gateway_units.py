@@ -1,10 +1,14 @@
-"""Gateway building blocks: NAT, safety filter, bridge, VLAN pool."""
+"""Gateway building blocks: NAT, safety filter, bridge, VLAN pool,
+VLAN range checks."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.gateway.bridge import LearningBridge
+from repro.gateway.gateway import Gateway
 from repro.gateway.nat import (
     AddressPool,
     AddressPoolExhausted,
@@ -14,6 +18,8 @@ from repro.gateway.nat import (
 from repro.gateway.safety import SafetyFilter
 from repro.inmates.vlan_pool import VlanPool, VlanPoolExhausted
 from repro.net.addresses import IPv4Address, IPv4Network, MacAddress
+from repro.net.packet import IPv4Packet, UDPDatagram
+from repro.sim.engine import Simulator
 
 
 def make_nat():
@@ -187,3 +193,20 @@ class TestVlanPool:
         pool.allocate_specific(15)
         with pytest.raises(VlanPoolExhausted):
             pool.allocate_specific(15)
+
+
+class TestGatewayVlanRange:
+    """Owned VLANs are range-checked once, when a router is added, so
+    the per-packet send path can wrap frames without re-checking."""
+
+    def test_router_with_out_of_range_vlan_is_rejected(self):
+        gateway = Gateway(Simulator())
+        with pytest.raises(ValueError, match="802.1Q"):
+            gateway.add_router(SimpleNamespace(vlan_ids={4095}))
+
+    def test_unowned_out_of_range_vlan_is_still_checked(self):
+        gateway = Gateway(Simulator())
+        packet = IPv4Packet(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
+                            UDPDatagram(1, 2, b"x"))
+        with pytest.raises(ValueError, match="802.1Q"):
+            gateway.send_to_vlan(5000, packet)
